@@ -5,13 +5,18 @@ through, so its per-run cost bounds how many replications a sweep can
 afford.  Benchmarked: one zero-noise run (the analytic-equivalence path),
 one noisy run (adds per-task factor sampling), a full replication batch,
 a contended arrival stream, and a mid-run device-failure replan (the
-worst case: rollback + full recommit cascade).
+worst case: rollback + full recommit cascade).  One plain test gates how
+the engine's cost per task scales with the number of overlapping jobs.
 """
+
+import time
 
 import numpy as np
 import pytest
 
-from repro.mappers import HeftMapper
+from repro.evaluation import MappingEvaluator
+from repro.graphs.generators import random_sp_graph
+from repro.mappers import HeftMapper, sp_first_fit
 from repro.runtime import (
     DeviceFailure,
     LognormalNoise,
@@ -65,6 +70,44 @@ def test_bench_failure_replan(benchmark, platform, mapped):
     benchmark(lambda: simulate_mapping(
         g, platform, mapping, scenarios=[DeviceFailure(t_fail, device=1)]
     ))
+
+
+#: Rounds of the engine-scaling gate; each replays both overlaps once.
+SCALING_ROUNDS = 5
+#: Bound on engine cost per task at 24 overlapping jobs over 1 job.
+MAX_SCALING_RATIO = 4.0
+
+
+def test_engine_cost_per_task_flat_in_overlap(platform):
+    """Engine cost per task must stay flat as jobs overlap.
+
+    A 60-task SP graph (seed 7) mapped by SPFirstFit streams 24 jobs
+    arriving ``makespan / overlap`` apart, so about ``overlap`` jobs
+    share the FPGA area ledger.  Overlap 1 and 24 are replayed
+    interleaved in one process and the minimum of the rounds compared:
+    a ratio, so a slow host moves both sides.  The step-profile ledger
+    measures 1.4-2x; rescanning every live claim per candidate start
+    costs 21-24x.
+    """
+    g = random_sp_graph(60, np.random.default_rng(7))
+    ev = MappingEvaluator(g, platform, rng=np.random.default_rng(0))
+    mapping = sp_first_fit().map(ev, rng=np.random.default_rng(0)).mapping
+    span = ev.model.simulate(mapping)
+    engine = RuntimeEngine(platform)
+    streams = {
+        overlap: periodic_stream(g, mapping, 24, period=span / overlap)
+        for overlap in (1, 24)
+    }
+    best = {overlap: float("inf") for overlap in streams}
+    for _ in range(SCALING_ROUNDS):
+        for overlap, jobs in streams.items():
+            t0 = time.perf_counter()
+            engine.run(jobs)
+            best[overlap] = min(best[overlap], time.perf_counter() - t0)
+    ratio = best[24] / best[1]
+    assert ratio <= MAX_SCALING_RATIO, (
+        f"engine cost per task at overlap 24 is {ratio:.1f}x overlap 1"
+    )
 
 
 def test_robustness_noise_sweep(benchmark):

@@ -100,8 +100,10 @@ INFEASIBLE = float("inf")
 #: per-mapping feasibility *at the boundary* — a mapping accepted by the
 #: static mapper is never rejected by the runtime, and vice versa.  (The
 #: engine's *cross-job* area ledger additionally admits up to
-#: :data:`AREA_BAND` beyond this tolerance: concurrent subset sums have
-#: no canonical order to recount in, see ``_claim_area``.)
+#: :data:`AREA_BAND` beyond this tolerance as genuine slack: concurrent
+#: subset sums share no summation order with the static sum.  Its own
+#: decisions follow peak sums in event-time order, recounted in that
+#: order near the threshold, see ``_claim_area``.)
 AREA_TOL = 1e-9
 
 

@@ -41,7 +41,15 @@ per job:
 
 - **FPGA area** — a ledger per area-capped device tracks the fabric every
   in-flight task occupies between its start and its finish, across *all*
-  jobs.  A task whose area claim would oversubscribe the budget waits for
+  jobs, as a step profile: sorted breakpoints, the area in use on each
+  segment between two of them, and how many claims end at each.
+  Recording a claim is a bisect plus one pass over the segments it
+  covers; first fit is one sliding-window pass from the ready time over
+  the claim ends.  Admission is defined by peak sums accumulated in
+  event-time order; a candidate whose segment-sum peak lands within a
+  certified float-error margin of the threshold is recounted in that
+  order, so the profile's own summation order never changes a decision.
+  A task whose area claim would oversubscribe the budget waits for
   area to free (``AreaWait`` events, ``RuntimeTrace.area_wait_time``)
   instead of silently co-residing; with a replan policy, an arriving job
   that would contend is instead routed through the policy with the
@@ -86,6 +94,8 @@ per job:
 from __future__ import annotations
 
 import heapq
+import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -293,6 +303,160 @@ class _JobState:
         return self.finish[i] + self.model._final[i][self.mapping[i]] * self.final_f[i]
 
 
+#: Float-error margin of an area-ledger peak, per stored claim and unit
+#: of summed area.  Over ``n`` claims of summed area ``S`` and with
+#: ``u = 2**-53``, a profile segment sum (at most ``n`` adds) is within
+#: ``n * u * S`` of its exact value, and the event-ordered running sum
+#: (at most ``2 * n`` adds and subtracts, magnitudes summing to at most
+#: ``2 * S``) within ``4 * n * u * S`` — Higham's recursive-summation
+#: bound.  With the roundings of ``peak + area`` the two admission loads
+#: differ by less than ``(5 * n + 2) * u * (S + area)``; ``8 * u`` per
+#: claim over ``n + 2`` claims covers that and the comparison's rounding.
+_LEDGER_ULPS = 4 * 2.0 ** -52
+
+
+class _AreaLedger:
+    """FPGA area claimed on one device over time, as a step profile.
+
+    ``times`` holds the sorted breakpoints, a ``-inf`` sentinel first;
+    ``use[k]`` is the area in use on ``[times[k], times[k + 1])`` and
+    ``ends[k]`` counts the claims ending at ``times[k]`` (the candidate
+    starts of a waiting claim).  ``claims`` keeps every ``(start, end,
+    area)`` in insertion order for the exact event-ordered recount;
+    ``total`` is their summed area (the error margin's scale) and
+    ``dead`` counts the stored claims known to have ended.
+    """
+
+    __slots__ = ("threshold", "claims", "times", "use", "ends", "total", "dead")
+
+    def __init__(self, capacity: float) -> None:
+        limit = capacity + AREA_TOL
+        self.threshold = limit + area_guard_band(limit)
+        self.claims: List[Tuple[float, float, float]] = []
+        self.times = [-math.inf]
+        self.use = [0.0]
+        self.ends = [0]
+        self.total = 0.0
+        self.dead = 0
+
+    def insert(self, start: float, end: float, area: float) -> None:
+        """Record a claim: split the profile at its ends, add its area."""
+        self.claims.append((start, end, area))
+        self.total += area
+        times, use, ends = self.times, self.use, self.ends
+        i = bisect_left(times, start)
+        if i == len(times) or times[i] != start:
+            times.insert(i, start)
+            use.insert(i, use[i - 1])
+            ends.insert(i, 0)
+        j = bisect_left(times, end, i)
+        if j == len(times) or times[j] != end:
+            times.insert(j, end)
+            use.insert(j, use[j - 1])
+            ends.insert(j, 0)
+        ends[j] += 1
+        if j > i:
+            use[i:j] = [u + area for u in use[i:j]]
+
+    def prune(self, now: float) -> None:
+        """Forget the profile before the segment holding ``now``.
+
+        No start ``>= now`` can overlap a claim ending by ``now``.  The
+        stored claims are compacted once most of them have ended.
+        """
+        times, ends = self.times, self.ends
+        k = bisect_right(times, now) - 1
+        if k > 0 or ends[0]:
+            self.dead += sum(ends[: k + 1])
+            del times[:k], self.use[:k], ends[:k]
+            ends[0] = 0
+            if 2 * self.dead > len(self.claims):
+                self.claims = [c for c in self.claims if c[1] > now]
+                self.total = sum(c[2] for c in self.claims)
+                self.dead = 0
+
+    def exact_peak(self, st: float, fin: float) -> float:
+        """Peak usage over ``[st, fin)``, summed in event-time order.
+
+        Claims are clipped to start no earlier than ``st``; at equal
+        times ends come before starts, ties in insertion order.  This
+        float order is the reference admission decisions follow.
+        """
+        events = []
+        for cs, ce, ca in self.claims:
+            if cs < fin and ce > st:
+                events.append((cs if cs > st else st, 1, ca))
+                events.append((ce, 0, ca))
+        events.sort(key=lambda e: (e[0], e[1]))
+        cur = peak = 0.0
+        for _, phase, ca in events:
+            cur = cur + ca if phase else cur - ca
+            if cur > peak:
+                peak = cur
+        return peak
+
+    def claim(
+        self, st0: float, exec_t: float, drain: float, area: float
+    ) -> Tuple[float, float, int]:
+        """First-fit and record a claim of ``area`` starting no earlier
+        than ``st0``, which must not precede the last :meth:`prune` time.
+
+        Candidate starts are ``st0``, then the claim ends after it in
+        ascending order; a candidate ``st`` holds the fabric over
+        ``[st, max(st + exec_t, drain))``, and it fits when the peak
+        usage there plus ``area`` stays within ``threshold``.  The peak
+        is a sliding-window maximum over the profile's segments, one
+        pass for all candidates.  A load within the float-error margin
+        of the threshold is decided by :meth:`exact_peak` instead, as is
+        an empty window (``st + exec_t`` rounding to ``st``), whose
+        usage no single segment holds.  The last candidate (the latest
+        claim end) always fits: nothing overlaps it, and a single task
+        fits an empty fabric by the static feasibility check.
+
+        Returns ``(start, finish, candidates tried)``.
+        """
+        times, use, ends = self.times, self.use, self.ends
+        threshold = self.threshold
+        margin = _LEDGER_ULPS * (len(self.claims) + 2) * (self.total + area)
+        n = len(times)
+        k = bisect_right(times, st0) - 1   # segment holding the candidate
+        nxt = k                            # next segment to enter the window
+        window: deque = deque()            # window segments, use decreasing
+        st = st0
+        tried = 0
+        while True:
+            tried += 1
+            fin = st + exec_t
+            if drain > fin:
+                fin = drain
+            if fin > st:
+                while nxt < n and times[nxt] < fin:
+                    u = use[nxt]
+                    while window and use[window[-1]] <= u:
+                        window.pop()
+                    window.append(nxt)
+                    nxt += 1
+                while window[0] < k:
+                    window.popleft()
+                load = use[window[0]] + area
+            else:
+                load = threshold  # empty window: always recount
+            if abs(load - threshold) > margin:
+                fits = load <= threshold
+            else:
+                fits = self.exact_peak(st, fin) + area <= threshold
+            if fits:
+                break
+            k += 1
+            while k < n and not ends[k]:
+                k += 1
+            if k == n:
+                break
+            st = times[k]
+        self.insert(st, fin, area)
+        return st, fin, tried
+
+
 class RuntimeEngine:
     """Discrete-event executor of static mappings on one platform.
 
@@ -426,10 +590,13 @@ class RuntimeEngine:
         # through only-unlimited links claim nothing.  No finite pools
         # at all -> None -> the analytic infinite-parallel model.
         self._link_pools, self._route_pools = self._build_link_pools(m)
-        #: per area-capped device: [(start, end, area)] of in-flight claims
-        self._area_claims: Dict[int, List[Tuple[float, float, float]]] = {
-            d: [] for d in self._area_caps
+        self._area_ledgers = {
+            d: _AreaLedger(cap) for d, cap in self._area_caps.items()
         }
+        # per area claim: profile length and candidates tried (published
+        # to the metrics registry, never read back)
+        self._ledger_lens: List[int] = []
+        self._claim_tries: List[int] = []
         self._e_compute_j = 0.0
         self._e_mb = 0.0
         self._e_wasted_j = 0.0
@@ -800,56 +967,35 @@ class RuntimeEngine:
     ) -> Tuple[float, float]:
         """Earliest start >= ``st0`` whose area claim fits device ``d``.
 
-        The ledger holds the ``(start, end, area)`` intervals of every
-        committed, unfinished task across *all* in-flight jobs.  The task
-        occupies its area over ``[start, finish)``; candidate starts are
-        ``st0`` and the ends of active claims, checked in time order, so
-        the first fit is the FIFO-earliest.  Admission is guard-banded:
-        a claim is accepted up to
+        The device's :class:`_AreaLedger` holds the claims of every
+        committed, unfinished task across *all* in-flight jobs as a step
+        profile.  The task occupies its area over ``[start, finish)``;
+        candidate starts are ``st0`` and the ends of live claims, tried
+        in time order, so the first fit is the FIFO-earliest.  Admission
+        is guard-banded: a claim is accepted up to
         ``AREA_TOL + AREA_BAND * max(1, limit)`` beyond the capacity.
         Unlike the static check (where :data:`AREA_BAND` only triggers an
-        exact recount), concurrent subset sums have no canonical
-        reference order to recount in, so the band here is genuine slack
+        exact recount), concurrent subset sums share no summation order
+        with the static sum, so the band here is genuine slack
         — physically negligible (1e-6 area units), and required so a
         statically-feasible single job (whose total usage fits by
         construction) can never be delayed by float re-association of
         partial sums: single-job runs stay bit-identical to the model.
+
+        The profile's segment sums accumulate in insertion order, not in
+        the event-time order admission is defined by; a candidate whose
+        profile peak lands within the certified float-error margin of
+        the threshold is recounted in event order (see
+        :meth:`_AreaLedger.claim`), so every decision equals the
+        event-ordered rescan's.
         """
-        cap = self._area_caps[d]
-        a = float(js.model._area[i])
-        limit = cap + AREA_TOL
-        band = area_guard_band(limit)
-        claims = self._area_claims[d]
-        if claims:
-            # claims ending by now can never overlap a start >= now
-            now = self._now
-            claims = [c for c in claims if c[1] > now]
-            self._area_claims[d] = claims
-        drain = js.drain[i]
-        candidates = sorted({st0} | {ce for _, ce, _ in claims if ce > st0})
-        st = fin = st0
-        for st in candidates:
-            fin = st + exec_t
-            if drain > fin:
-                fin = drain
-            # peak concurrent usage of overlapping claims over [st, fin)
-            events = []
-            for cs, ce, ca in claims:
-                if cs < fin and ce > st:
-                    events.append((cs if cs > st else st, 1, ca))
-                    events.append((ce, 0, ca))
-            events.sort(key=lambda e: (e[0], e[1]))
-            cur = peak = 0.0
-            for _, phase, ca in events:
-                cur = cur + ca if phase else cur - ca
-                if cur > peak:
-                    peak = cur
-            if peak + a <= limit + band:
-                break
-            # the last candidate (max claim end) always fits: nothing
-            # overlaps it, and a single task fits an empty fabric by the
-            # static feasibility check
-        claims.append((st, fin, a))
+        ledger = self._area_ledgers[d]
+        ledger.prune(self._now)
+        self._ledger_lens.append(len(ledger.times))
+        st, fin, tried = ledger.claim(
+            st0, exec_t, js.drain[i], float(js.model._area[i])
+        )
+        self._claim_tries.append(tried)
         return st, fin
 
     def _area_pressure(
@@ -1192,20 +1338,20 @@ class RuntimeEngine:
                             if end > link_pools[pool][s]:
                                 link_pools[pool][s] = end
             self._link_pools = link_pools
-        if self._area_claims:
-            claims: Dict[int, List[Tuple[float, float, float]]] = {
-                d: [] for d in self._area_caps
+        if self._area_ledgers:
+            ledgers = {
+                d: _AreaLedger(cap) for d, cap in self._area_caps.items()
             }
             for js in self._jobs:
                 area = js.model._area
                 for i in range(js.model.n):
                     if js.committed[i] and not js.done[i]:
-                        d = js.mapping[i]
-                        if d in claims and area[i] > 0.0:
-                            claims[d].append(
-                                (js.start[i], js.finish[i], float(area[i]))
+                        ledger = ledgers.get(js.mapping[i])
+                        if ledger is not None and area[i] > 0.0:
+                            ledger.insert(
+                                js.start[i], js.finish[i], float(area[i])
                             )
-            self._area_claims = claims
+            self._area_ledgers = ledgers
         self._cascade()
 
     # ------------------------------------------------------------------
@@ -1278,6 +1424,12 @@ class RuntimeEngine:
             registry.counter("runtime.wasted_energy_j").inc(
                 trace.wasted_energy_j)
             registry.histogram("runtime.makespan").observe(makespan)
+            hist = registry.histogram("runtime.area_ledger_len")
+            for n in self._ledger_lens:
+                hist.observe_int(n)
+            hist = registry.histogram("runtime.claim_candidates")
+            for n in self._claim_tries:
+                hist.observe_int(n)
             for job in jobs:
                 registry.histogram("runtime.job_latency").observe(
                     job.completion - job.arrival)
