@@ -1,12 +1,12 @@
 """Metaheuristic population-batch benchmarks.
 
-Wall-clock comparisons of the batched/delta metaheuristic paths against
-their legacy scalar loops (``batch_eval=False`` / ``delta_eval=False``
-— the pre-batch implementations kept verbatim).  Both sides run
-back-to-back on the same machine, so the asserted ratios are
-machine-relative and stable, unlike the absolute medians committed in
-``BENCH_meta.json`` (which ``record.py --suite meta`` maintains and the
-CI ``perf-smoke`` job gates).
+Wall-clock comparisons of the batched/delta metaheuristic mappers against
+the legacy scalar loops kept as test oracles in ``tests/legacy_mappers.py``
+(the pre-batch implementations verbatim).  Both sides run back-to-back
+in the same process, so the asserted ratios are machine-relative and
+stable, unlike the absolute medians committed in ``BENCH_meta.json``
+(which ``record.py --suite meta`` maintains and the CI ``perf-smoke``
+job gates).
 
 The trajectory equality of the two sides is pinned separately in
 ``tests/test_batch_population.py`` — here we only check the fast side
@@ -24,6 +24,7 @@ from repro.evaluation._ckernel import load_ckernel
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import NsgaIIMapper, TabuSearchMapper
 from repro.platform import paper_platform
+from tests.legacy_mappers import LegacyNsgaIIMapper, LegacyTabuSearchMapper
 
 
 def _best_of(fn, reps=5):
@@ -75,7 +76,7 @@ class TestBatchedVsScalarWallClock:
             )
         )
         scalar = _best_of(
-            lambda: NsgaIIMapper(generations=100, batch_eval=False).map(
+            lambda: LegacyNsgaIIMapper(generations=100).map(
                 ev_s, rng=np.random.default_rng(np.random.SeedSequence(42))
             ),
             reps=3,
@@ -92,7 +93,7 @@ class TestBatchedVsScalarWallClock:
             )
         )
         scalar = _best_of(
-            lambda: TabuSearchMapper(iterations=200, delta_eval=False).map(
+            lambda: LegacyTabuSearchMapper(iterations=200).map(
                 ev_s, rng=np.random.default_rng(np.random.SeedSequence(42))
             ),
             reps=3,

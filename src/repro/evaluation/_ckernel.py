@@ -23,16 +23,13 @@ test-suite to cover both paths).
 Exposed entry points (see the C source below for contracts):
 
 - ``repro_span``       — full scratch simulation into caller buffers;
-- ``repro_span_batch`` — lane loop over a whole ``(B, n)`` population:
-  one native call simulates every mapping back to back, so the Python
-  call overhead (argument marshalling, pointer extraction — an order of
-  magnitude more than the n=50 simulation itself) is paid once per
-  *population* instead of once per genome;
-- ``repro_span_batch_dedup`` — the lane loop plus in-kernel genome
-  dedup (open-addressing table, duplicates verified by full row
-  comparison) and per-lane feasibility skipping, so a converged
-  population costs one simulation per *distinct* feasible genome and
-  the Python side is a single call with no grouping work;
+- ``repro_span_batch_dedup`` — lane loop over a whole ``(B, n)``
+  population with in-kernel genome dedup (open-addressing table,
+  duplicates verified by full row comparison) and per-lane feasibility
+  skipping: one native call per population, so the Python call overhead
+  (an order of magnitude more than the n=50 simulation itself) is paid
+  once per *population*, and a converged population costs one
+  simulation per *distinct* feasible genome;
 - ``repro_rebuild``    — scratch simulation recording per-position
   prefix snapshots (slot availability + running makespan) for the
   incremental evaluator;
@@ -41,7 +38,10 @@ Exposed entry points (see the C source below for contracts):
   accepted move costs O(affected suffix) instead of O(V + E) (the
   tabu/annealing accept path);
 - ``repro_eval_move``  — suffix-only re-simulation of one candidate
-  move against the snapshotted base, with bound-abort.
+  move against the snapshotted base, with bound-abort.  A move is a
+  prepared ``ReproMove`` record (see :func:`fill_moves`), so the
+  per-move call marshals two arguments: ctypes argument conversion,
+  not the native suffix simulation, dominates a move's cost.
 """
 
 from __future__ import annotations
@@ -88,6 +88,18 @@ typedef struct {
     double *avail_ws;          /* n_slots workspace */
     int64_t *old_ws;           /* >= max subgraph size workspace */
 } ReproDelta;
+
+/* One prepared (candidate, device) move.  Every field is an int64
+ * (addresses stored as integers) so a whole table of moves is one
+ * numpy int64 array, filled by fill_moves() on the Python side. */
+typedef struct {
+    int64_t ctx;               /* const ReproCtx *   */
+    int64_t delta;             /* const ReproDelta * */
+    int64_t sub;               /* const int64_t *: candidate tasks */
+    int64_t sub_len;
+    int64_t device;
+    int64_t k;                 /* first schedule position touched */
+} ReproMove;
 
 /* One loop body for every path; mirrors kernel.simulate_span statement
  * for statement (same op order => bit-identical doubles).  When pos is
@@ -278,24 +290,10 @@ double repro_rebuild_from(const ReproCtx *c, const ReproDelta *d, int64_t k,
     return makespan;
 }
 
-/* Multi-lane entry: simulate B independent mappings (rows of a dense
- * (B, n) int64 array) under one shared order.  Lanes reuse the same
- * start/finish/avail workspaces (repro_span zeroes them per lane), so
- * each lane is exactly one repro_span call — results are bit-identical
- * to B scalar simulations, the loop only amortizes call overhead. */
-void repro_span_batch(const ReproCtx *c, const int64_t *mappings,
-                      const int64_t *order, int64_t n_lanes, double *out,
-                      double *start, double *finish, double *avail,
-                      int contention)
-{
-    for (int64_t b = 0; b < n_lanes; b++) {
-        out[b] = repro_span(c, mappings + b * c->n, order,
-                            start, finish, avail, contention);
-    }
-}
-
-/* Batch entry with in-kernel genome dedup: lanes whose row equals an
- * earlier feasible lane's row copy that lane's makespan instead of
+/* Population entry: simulate B mappings (rows of a dense (B, n) int64
+ * array) under one shared order, reusing the start/finish/avail
+ * workspaces (repro_span zeroes them per lane).  Lanes whose row equals
+ * an earlier feasible lane's row copy that lane's makespan instead of
  * re-simulating (exact-value sharing — duplicates are verified by full
  * row comparison after a 64-bit FNV-1a probe, so a hash collision costs
  * a probe step, never a wrong value).  `feas` (optional, may be NULL)
@@ -339,10 +337,12 @@ int64_t repro_span_batch_dedup(const ReproCtx *c, const int64_t *mappings,
     return simulated;
 }
 
-double repro_eval_move(const ReproCtx *c, const ReproDelta *d,
-                       const int64_t *sub, int64_t sub_len, int64_t device,
-                       int64_t k, double bound)
+double repro_eval_move(const ReproMove *mv, double bound)
 {
+    const ReproCtx *c = (const ReproCtx *)(intptr_t)mv->ctx;
+    const ReproDelta *d = (const ReproDelta *)(intptr_t)mv->delta;
+    const int64_t *sub = (const int64_t *)(intptr_t)mv->sub;
+    const int64_t sub_len = mv->sub_len, device = mv->device, k = mv->k;
     int64_t *mp = d->mapping;
     int64_t *old = d->old_ws;
     for (int64_t s = 0; s < sub_len; s++) {
@@ -399,6 +399,28 @@ class ReproDelta(ctypes.Structure):
     ]
 
 
+#: ``ReproMove`` field order; a record is this many int64s.
+MOVE_FIELDS = ("ctx", "delta", "sub", "sub_len", "device", "k")
+
+
+def fill_moves(records, ctx, delta, sub_addr, sub_len, first) -> None:
+    """Fill ``ReproMove`` records for every (candidate, device) pair.
+
+    ``records`` is a C-contiguous int64 array of shape
+    ``(n_candidates, n_devices, len(MOVE_FIELDS))``; row ``[c, d]`` moves
+    candidate ``c`` (``sub_len[c]`` task indices at address
+    ``sub_addr[c]``, first schedule position ``first[c]``) to device
+    ``d`` under the ``ctx``/``delta`` structs.  The records hold raw
+    addresses: the structs and the index buffer must outlive them.
+    """
+    records[:, :, 0] = ctypes.addressof(ctx)
+    records[:, :, 1] = ctypes.addressof(delta)
+    records[:, :, 2] = sub_addr[:, None]
+    records[:, :, 3] = sub_len[:, None]
+    records[:, :, 4] = range(records.shape[1])
+    records[:, :, 5] = first[:, None]
+
+
 def _ptr(arr, typ):
     """Raw data pointer of a C-contiguous numpy array as a ctypes pointer."""
     return ctypes.cast(arr.ctypes.data, typ)
@@ -414,18 +436,6 @@ class CKernel:
         vp = ctypes.c_void_p
         lib.repro_span.restype = ctypes.c_double
         lib.repro_span.argtypes = [vp, vp, vp, vp, vp, vp, ctypes.c_int]
-        lib.repro_span_batch.restype = None
-        lib.repro_span_batch.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            vp,
-            vp,
-            vp,
-            vp,
-            ctypes.c_int,
-        ]
         lib.repro_span_batch_dedup.restype = ctypes.c_int64
         lib.repro_span_batch_dedup.argtypes = [
             vp,
@@ -454,16 +464,10 @@ class CKernel:
             vp,
             vp,
         ]
+        # called once per move with a prepared record's address (see
+        # fill_moves) and, where possible, a prebuilt c_double bound
         lib.repro_eval_move.restype = ctypes.c_double
-        lib.repro_eval_move.argtypes = [
-            vp,
-            vp,
-            vp,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_int64,
-            ctypes.c_double,
-        ]
+        lib.repro_eval_move.argtypes = [vp, ctypes.c_double]
 
     # ------------------------------------------------------------------
     def make_delta(

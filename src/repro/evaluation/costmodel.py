@@ -33,8 +33,8 @@ Evaluation architecture (kernel + delta):
   (CSR predecessor offsets, per-edge ``m*m`` transfer rows, contiguous
   ``float64`` exec/fill/initial/final) and :meth:`simulate` delegates to
   the shared :func:`repro.evaluation.kernel.simulate_span` loop — every
-  caller (construction makespan, the 101-schedule reported suite, the
-  GA/tabu/annealing fitness paths) goes through the same kernel;
+  caller (construction makespan, the 101-schedule reported suite)
+  goes through the same kernel;
 - the greedy decomposition mappers additionally use
   :class:`repro.evaluation.delta.DeltaEvaluator`, which keeps per-position
   prefix snapshots of ``(start, finish, slot availability, prefix-max
@@ -44,14 +44,12 @@ Evaluation architecture (kernel + delta):
 - the population-based mappers (NSGA-II, Pareto NSGA-II) go through
   :meth:`simulate_many`, which evaluates an arbitrary ``(P, n)`` array of
   mappings in one call: vectorized (guard-banded, decision-exact) area
-  feasibility over the whole population, then the C kernel's
-  ``repro_span_batch_dedup`` entry (lane loop + in-kernel genome dedup +
-  infeasible-lane skipping) or, pure-Python, the lockstep numpy batch
-  kernel — Python/ctypes dispatch, the dominant cost of a scalar n=50
-  evaluation, is paid once per population instead of once per genome;
-- exactness contract: kernel, delta and population-batch evaluation
-  perform bit-for-bit the same float64 operations in the same order as
-  the original nested-list walk (kept as :meth:`_simulate_reference` and
+  feasibility over the whole population, then one simulation per
+  *distinct* feasible row — the C kernel's ``repro_span_batch_dedup``
+  entry, or ``np.unique`` plus a scalar kernel loop in pure Python;
+- exactness contract: kernel, delta and population evaluation perform
+  bit-for-bit the same float64 operations in the same order as the
+  original nested-list walk (kept as :meth:`_simulate_reference` and
   pinned by ``tests/test_kernel_delta.py`` /
   ``tests/test_batch_population.py``) — they are optimizations, never
   approximations.
@@ -60,7 +58,7 @@ Bookkeeping: ``n_simulations`` counts full scratch simulations (one per
 :meth:`simulate` call, as before); ``n_delta_evaluations`` counts
 incremental suffix re-evaluations and ``delta_work`` accumulates their
 cost in full-evaluation equivalents (suffix length / n);
-``n_batched_evaluations`` counts lanes evaluated through
+``n_batched_evaluations`` counts distinct rows simulated by
 :meth:`simulate_many` (each a full pass) and ``n_batch_calls`` the calls,
 so ``n_batched_evaluations / n_batch_calls`` is the realized mean batch
 width.  ``n_simulations + delta_work + n_batched_evaluations`` is the
@@ -79,12 +77,7 @@ from ..obs import metrics as _metrics
 from ..platform.platform import Platform
 from ..platform.taskmodel import exec_time_table
 from ._ckernel import load_ckernel
-from .kernel import (
-    DEDUP_TABLE_FACTOR,
-    FlatModel,
-    simulate_flat,
-    simulate_population,
-)
+from .kernel import DEDUP_TABLE_FACTOR, FlatModel, simulate_flat
 
 __all__ = ["CostModel", "INFEASIBLE", "AREA_TOL", "area_guard_band"]
 
@@ -123,12 +116,6 @@ def area_guard_band(limit: float) -> float:
 #: — so outside the band both sums land on the same side of the
 #: threshold.  (Shared with :mod:`repro.evaluation.delta`.)
 AREA_BAND = 1e-6
-
-#: Below this many feasible lanes the pure-Python population path falls
-#: back to per-row scalar simulation: the lockstep numpy kernel pays
-#: ~25 us of call overhead per schedule position regardless of width,
-#: vs ~2 us per position per lane for the scalar loop.
-_POP_BATCH_MIN = 16
 
 
 class CostModel:
@@ -268,7 +255,6 @@ class CostModel:
         self._ws_finish_p = self._ws_finish.ctypes.data
         self._ws_avail_p = self._ws_avail.ctypes.data
         self._bfs_order_p = self.bfs_order_np.ctypes.data
-        self._span_batch_c = ck.lib.repro_span_batch
         self._span_batch_dedup_c = ck.lib.repro_span_batch_dedup
         self._dedup_table: Optional[np.ndarray] = None
 
@@ -278,8 +264,7 @@ class CostModel:
         for key in ("_ck", "_ck_ctx", "_ck_ctx_p", "_ws_start",
                     "_ws_finish", "_ws_avail", "_ws_start_p",
                     "_ws_finish_p", "_ws_avail_p", "_bfs_order_p",
-                    "_span_batch_c", "_span_batch_dedup_c",
-                    "_dedup_table"):
+                    "_span_batch_dedup_c", "_dedup_table"):
             state.pop(key, None)
         return state
 
@@ -344,53 +329,44 @@ class CostModel:
         *,
         check_feasibility: bool = True,
         contention: bool = True,
-        dedup: bool = False,
     ) -> np.ndarray:
         """Makespans of every row of a ``(P, n)`` array of mappings.
 
-        The multi-lane entry behind
-        :meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`:
-        one call evaluates a whole population.  With the C kernel loaded
-        the rows run through the native ``repro_span_batch`` lane loop
-        (one ctypes call per population instead of one per genome); the
-        pure-Python path uses the lockstep numpy batch kernel
-        (:func:`repro.evaluation.kernel.simulate_population`), falling
-        back to per-row scalar simulation below ``_POP_BATCH_MIN`` lanes.
-        Every lane is bit-identical to a scalar :meth:`simulate` of that
-        row (:data:`INFEASIBLE` for rows failing the area check).
+        The population entry behind
+        :meth:`~repro.evaluation.evaluator.MappingEvaluator.construction_makespans`.
+        Rows failing the area check get :data:`INFEASIBLE`; identical
+        feasible rows are simulated once and share the exact value.  With
+        the C kernel loaded one ``repro_span_batch_dedup`` call does the
+        dedup and the lane loop; the Python path groups rows with
+        ``np.unique`` and runs :func:`~repro.evaluation.kernel.simulate_flat`
+        per distinct row.  Every lane is bit-identical to a scalar
+        :meth:`simulate` of that row.
 
-        With ``dedup=True`` (and the C kernel loaded) lanes run through
-        ``repro_span_batch_dedup``: identical rows are simulated once and
-        share the exact value (verified by full row comparison in the
-        kernel), and only the *distinct* simulated lanes count toward
-        ``n_batched_evaluations``.  On the pure-Python path ``dedup`` is
-        ignored here — :meth:`MappingEvaluator.construction_makespans`
-        performs the equivalent vectorized dedup before calling in.
-
-        Lanes count toward ``n_batched_evaluations`` (not
-        ``n_simulations``) and each call toward ``n_batch_calls``.
+        Only distinct feasible rows count toward ``n_batched_evaluations``
+        (not ``n_simulations``), and each call that simulated one toward
+        ``n_batch_calls`` — the same on both kernels.
         """
         pop = np.ascontiguousarray(mappings, dtype=np.int64)
         if pop.ndim != 2 or pop.shape[1] != self.n:
             raise ValueError(
                 f"expected a (P, {self.n}) array of mappings, got {pop.shape}"
             )
-        if pop.shape[0] == 0:
+        n_lanes = pop.shape[0]
+        if n_lanes == 0:
             return np.empty(0)
-        if order is None:
-            order_p = self._bfs_order_p if self._ck is not None else None
-        elif self._ck is not None:
-            order_np = np.ascontiguousarray(order, dtype=np.int64)
-            order_p = order_np.ctypes.data
-        if self._ck is not None and dedup:
-            feas_p = 0
-            if check_feasibility:
-                feas = self.feasible_mask(pop)
-                if not feas.any():
-                    return np.full(pop.shape[0], INFEASIBLE)
-                feas_p = feas.view(np.uint8).ctypes.data
-            n_lanes = pop.shape[0]
+        if check_feasibility:
+            feas = self.feasible_mask(pop)
+            if not feas.any():
+                return np.full(n_lanes, INFEASIBLE)
+        else:
+            feas = np.ones(n_lanes, dtype=bool)
+        if self._ck is not None:
             res = np.empty(n_lanes)
+            if order is None:
+                order_p = self._bfs_order_p
+            else:
+                order_np = np.ascontiguousarray(order, dtype=np.int64)
+                order_p = order_np.ctypes.data
             table_size = 1 << (DEDUP_TABLE_FACTOR * n_lanes - 1).bit_length()
             if self._dedup_table is None or len(self._dedup_table) < table_size:
                 self._dedup_table = np.empty(table_size, dtype=np.int64)
@@ -399,7 +375,7 @@ class CostModel:
                 pop.ctypes.data,
                 order_p,
                 n_lanes,
-                feas_p,
+                feas.view(np.uint8).ctypes.data,
                 res.ctypes.data,
                 self._dedup_table.ctypes.data,
                 table_size,
@@ -408,66 +384,26 @@ class CostModel:
                 self._ws_avail_p,
                 1 if contention else 0,
             )
-            if simulated:
-                self.n_batched_evaluations += simulated
-                self.n_batch_calls += 1
-            registry = _metrics.get_registry()
-            if registry is not None:
-                registry.counter("kernel.calls.c_dedup").inc()
-                registry.histogram("kernel.batch_size").observe_int(n_lanes)
-                registry.counter("kernel.dedup_hits").inc(n_lanes - simulated)
-                registry.counter("kernel.dedup_lanes").inc(n_lanes)
-            return res
-        idx = None
-        if check_feasibility:
-            feas = self.feasible_mask(pop)
-            if not feas.all():
-                out = np.full(pop.shape[0], INFEASIBLE)
-                idx = np.flatnonzero(feas)
-                if idx.size == 0:
-                    return out
-                pop = np.ascontiguousarray(pop[idx])
-        n_lanes = pop.shape[0]
-        self.n_batched_evaluations += n_lanes
+        else:
+            uniq, inverse = np.unique(pop[feas], axis=0, return_inverse=True)
+            ord_l = self.bfs_order if order is None else [int(i) for i in order]
+            vals = np.array([
+                simulate_flat(self.flat, row, ord_l, contention=contention)
+                for row in uniq.tolist()
+            ])
+            res = np.full(n_lanes, INFEASIBLE)
+            res[feas] = vals[inverse.ravel()]
+            simulated = len(uniq)
+        self.n_batched_evaluations += simulated
         self.n_batch_calls += 1
         registry = _metrics.get_registry()
         if registry is not None:
-            path = (
-                "c_batch" if self._ck is not None
-                else "py_batch" if n_lanes >= _POP_BATCH_MIN
-                else "py_scalar"
-            )
+            path = "c_dedup" if self._ck is not None else "py_dedup"
             registry.counter(f"kernel.calls.{path}").inc()
             registry.histogram("kernel.batch_size").observe_int(n_lanes)
-        res = np.empty(n_lanes)
-        if self._ck is not None:
-            self._span_batch_c(
-                self._ck_ctx_p,
-                pop.ctypes.data,
-                order_p,
-                n_lanes,
-                res.ctypes.data,
-                self._ws_start_p,
-                self._ws_finish_p,
-                self._ws_avail_p,
-                1 if contention else 0,
-            )
-        else:
-            ord_l = self.bfs_order if order is None else [int(i) for i in order]
-            if n_lanes >= _POP_BATCH_MIN:
-                res = simulate_population(
-                    self.flat, pop, ord_l, contention=contention
-                )
-            else:
-                for b in range(n_lanes):
-                    res[b] = simulate_flat(
-                        self.flat, pop[b].tolist(), ord_l,
-                        contention=contention,
-                    )
-        if idx is None:
-            return res
-        out[idx] = res
-        return out
+            registry.counter("kernel.dedup_hits").inc(n_lanes - simulated)
+            registry.counter("kernel.dedup_lanes").inc(n_lanes)
+        return res
 
     # ------------------------------------------------------------------
     # simulation

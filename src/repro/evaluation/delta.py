@@ -41,14 +41,16 @@ rebuilds count toward ``model.n_simulations``.
 
 from __future__ import annotations
 
+import ctypes
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import metrics as _metrics
 from ..sp.subgraphs import schedule_span
+from ._ckernel import MOVE_FIELDS, fill_moves
 from .costmodel import AREA_TOL, INFEASIBLE, CostModel, area_guard_band
-from .kernel import INF, simulate_batch, simulate_span
+from .kernel import INF, simulate_span
 
 __all__ = ["Candidate", "DeltaEvaluator"]
 
@@ -58,7 +60,10 @@ class Candidate(NamedTuple):
 
     members: List[int]     #: task indices
     arr: np.ndarray        #: the same indices as an int64 array (C kernel)
-    ptr: int               #: cached raw data pointer of ``arr``
+    native: int            #: address of the prepared C kernel record
+                           #: of the move to device 0 (device ``d``'s
+                           #: follows ``d`` records later); 0 without
+                           #: the C kernel
     first_pos: int         #: first schedule position the candidate touches
     area: float            #: summed task area (incremental feasibility)
 
@@ -66,18 +71,6 @@ class Candidate(NamedTuple):
 # exact scratch recount (see _move_feasible); the band for "near" is
 # repro.evaluation.costmodel.area_guard_band, shared with
 # CostModel.feasible_mask's vectorized check and the runtime area ledger.
-
-#: Below this many lanes a vectorized batch loses to scalar suffix evals:
-#: the batch kernel pays ~25 us of numpy call overhead per schedule
-#: position regardless of width, vs ~2 us per position per lane for the
-#: scalar loop — break-even sits around 90-100 lanes.
-_BATCH_MIN = 96
-
-#: Lanes per vectorized batch.  Chunks are cut from moves sorted by
-#: first affected position, so each chunk starts at its first lane's
-#: position — grouping moves that share a prefix keeps the simulated
-#: span short while the batch stays wide enough to amortize numpy calls.
-_BATCH_CHUNK = 256
 
 
 class DeltaEvaluator:
@@ -87,9 +80,9 @@ class DeltaEvaluator:
 
         delta = DeltaEvaluator(model)
         current = delta.reset(mapping)          # full sim + snapshots
-        sub, first, area = delta.candidate(np.array([3, 4]))
-        ms = delta.evaluate_move(sub, device, first, area)
-        current = delta.apply_move(sub, device)  # commit + rebuild
+        cands = delta.candidates([[3, 4], [5]])  # once per candidate set
+        ms = delta.evaluate_move(cands[0], device)
+        current = delta.apply_move(cands[0].members, device)  # commit
 
     ``evaluate_move`` accepts a ``bound``: the suffix simulation aborts
     (returning ``inf``) once the running makespan reaches it.  Since the
@@ -113,9 +106,12 @@ class DeltaEvaluator:
 
         self._area: List[float] = model._area.tolist()
         self._area_devs: List[int] = sorted(model._area_limits)
-        self._area_limits: List[float] = [
-            model._area_limits[d] for d in self._area_devs
-        ]
+        # per area device: the tolerance-padded limit and the guard band
+        # around it (constant, so hoisted out of the per-move check)
+        self._area_checks: List[Tuple[float, float]] = []
+        for d in self._area_devs:
+            limit = model._area_limits[d] + AREA_TOL
+            self._area_checks.append((limit, area_guard_band(limit)))
 
         # Suffix-length histogram, captured once here so the per-move
         # cost when observability is on stays one attribute test plus a
@@ -137,20 +133,19 @@ class DeltaEvaluator:
         self._pre_ms: List[float] = []
         self.base_makespan: float = INF
 
-        # preallocated numpy state — refilled in place on every rebuild,
-        # never reallocated (the C kernel keeps raw pointers into them)
-        n_slots = self.flat.n_slots
         self._np_map = np.zeros(n, dtype=np.int64)
-        self._order_np = np.asarray(self.order, dtype=np.int64)
-        self._pos_np = np.asarray(pos, dtype=np.int64)
-        self._start_np = np.zeros(n)
-        self._finish_np = np.zeros(n)
-        self._snap_np = np.zeros((n, n_slots))
-        self._pre_ms_np = np.zeros(n)
         self._ck = model._ck
         if self._ck is not None:
-            import ctypes
-
+            # preallocated native state — refilled in place on every
+            # rebuild, never reallocated (the C kernel keeps raw pointers
+            # into these buffers)
+            n_slots = self.flat.n_slots
+            self._order_np = np.asarray(self.order, dtype=np.int64)
+            self._pos_np = np.asarray(pos, dtype=np.int64)
+            self._start_np = np.zeros(n)
+            self._finish_np = np.zeros(n)
+            self._snap_np = np.zeros((n, n_slots))
+            self._pre_ms_np = np.zeros(n)
             self._ts_ws = np.empty(n)
             self._tf_ws = np.empty(n)
             self._avail_ws = np.empty(max(1, n_slots))
@@ -169,33 +164,71 @@ class DeltaEvaluator:
                 self._old_ws,
             )
             self._dctx_p = ctypes.byref(self._dctx)
+            self._ctx = model._ck_ctx
             self._ctx_p = model._ck_ctx_p
             self._eval_move_c = self._ck.lib.repro_eval_move
+            self._move_bytes = len(MOVE_FIELDS) * np.dtype(np.int64).itemsize
+            self._c_inf = ctypes.c_double(INF)
 
     # ------------------------------------------------------------------
     def candidate(self, sub: Sequence[int]) -> Candidate:
-        """Prepare a candidate subgraph for repeated move evaluation.
+        """Prepare one candidate subgraph (see :meth:`candidates`)."""
+        return self.candidates([sub])[0]
+
+    def candidates(self, subs: Sequence[Sequence[int]]) -> List[Candidate]:
+        """Prepare candidate subgraphs for repeated move evaluation.
 
         Done once per candidate and reused for every device and every
-        round — the per-move work stays proportional to the suffix.  The
-        cached data pointer is what the C kernel indexes with (computing
-        it per move would cost more than the native suffix simulation).
+        round — the per-move work stays proportional to the suffix.  With
+        the C kernel, each (candidate, device) move also gets a prepared
+        ``ReproMove`` record (:func:`repro.evaluation._ckernel.fill_moves`)
+        that :meth:`evaluate_move` hands to the kernel as one pointer.
+        The records and every candidate's index array share one buffer,
+        which the index arrays (views) keep alive.  The records embed
+        this evaluator's native state: candidates are only valid with the
+        evaluator that prepared them.
         """
-        if isinstance(sub, np.ndarray) and sub.dtype == np.int64:
-            sub_np = np.ascontiguousarray(sub)
-            sub_list = sub_np.tolist()
-        else:
-            sub_list = [int(t) for t in sub]
-            sub_np = np.asarray(sub_list, dtype=np.int64)
-        first, _last = schedule_span(sub_list, self.pos)
-        area = self._area
-        return Candidate(
-            sub_list,
-            sub_np,
-            sub_np.ctypes.data,
-            first,
-            sum(area[t] for t in sub_list),
-        )
+        lists = [
+            s.tolist() if isinstance(s, np.ndarray) else list(map(int, s))
+            for s in subs
+        ]
+        lens = [len(members) for members in lists]
+        pos = self.pos
+        firsts = [schedule_span(members, pos)[0] for members in lists]
+        n = len(lists)
+        m = self.flat.m if self._ck is not None else 0  # records per candidate
+        n_words = n * m * len(MOVE_FIELDS)
+        buf = np.empty(n_words + sum(lens), dtype=np.int64)
+        flat = buf[n_words:]
+        flat[:] = [t for members in lists for t in members]
+        offs = np.zeros(n, dtype=np.int64)
+        np.cumsum(lens[:-1], out=offs[1:])
+        records: Sequence[int] = [0] * n
+        if m:
+            base = buf.ctypes.data
+            fill_moves(
+                buf[:n_words].reshape(n, m, len(MOVE_FIELDS)),
+                self._ctx,
+                self._dctx,
+                base + (n_words + offs) * buf.itemsize,
+                np.asarray(lens, dtype=np.int64),
+                np.asarray(firsts, dtype=np.int64),
+            )
+            step = m * self._move_bytes
+            records = range(base, base + n * step, step)
+        area = self._area.__getitem__
+        return [
+            Candidate(
+                members,
+                flat[off:off + k],
+                native,
+                first,
+                sum(map(area, members)),
+            )
+            for members, k, off, first, native in zip(
+                lists, lens, offs.tolist(), firsts, records
+            )
+        ]
 
     # ------------------------------------------------------------------
     def reset(self, mapping: Sequence[int]) -> float:
@@ -298,13 +331,6 @@ class DeltaEvaluator:
         self._pre_ms = pre_ms
         self._tstart = start.copy()
         self._tfinish = finish.copy()
-        # numpy mirrors for the vectorized batch evaluator (refilled in
-        # place; see __init__)
-        np.copyto(self._start_np, start)
-        np.copyto(self._finish_np, finish)
-        if self.flat.n_slots:
-            np.copyto(self._snap_np, snap_avail)
-        np.copyto(self._pre_ms_np, pre_ms)
         self.base_makespan = makespan
         return makespan
 
@@ -319,6 +345,7 @@ class DeltaEvaluator:
         """
         mp = self._map
         area = self._area
+        usage = self._usage
         for ai, a in enumerate(self._area_devs):
             removed = 0.0
             for t in sub_list:
@@ -327,9 +354,9 @@ class DeltaEvaluator:
             added = sub_area if device == a else 0.0
             if removed == 0.0 and added == 0.0:
                 continue
-            new_usage = self._usage[ai] - removed + added
-            limit = self._area_limits[ai] + AREA_TOL
-            if abs(new_usage - limit) <= area_guard_band(limit):
+            new_usage = usage[ai] - removed + added
+            limit, band = self._area_checks[ai]
+            if abs(new_usage - limit) <= band:
                 new_usage = self._exact_usage(sub_list, device, a)
             if new_usage > limit:
                 return False
@@ -365,13 +392,8 @@ class DeltaEvaluator:
             # the C side applies the move, simulates the suffix against
             # the snapshotted base and restores the mapping
             return self._eval_move_c(
-                self._ctx_p,
-                self._dctx_p,
-                cand.ptr,
-                len(sub_list),
-                device,
-                first_pos,
-                bound,
+                cand.native + device * self._move_bytes,
+                self._c_inf if bound == INF else ctypes.c_double(bound),
             )
 
         mp = self._map
@@ -402,79 +424,6 @@ class DeltaEvaluator:
                 i = order[j]
                 ts[i] = bs[i]
                 tf[i] = bf[i]
-
-    # ------------------------------------------------------------------
-    def evaluate_moves(
-        self, items: Sequence[Tuple[Candidate, int]]
-    ) -> np.ndarray:
-        """Makespans of many ``(candidate, device)`` moves (aligned array).
-
-        Values are bit-identical to :meth:`evaluate_move` per item (and
-        hence to a scratch simulation).  With the C kernel loaded the
-        items are simply evaluated one suffix at a time (native suffix
-        evaluation is already cheaper than any batching overhead).  On
-        the pure Python path, feasible lanes are sorted by first
-        affected position and cut into chunks of at most
-        ``_BATCH_CHUNK``: each chunk simulates as lockstep vector lanes
-        from its *earliest* lane's position on the shared base prefix
-        (:func:`repro.evaluation.kernel.simulate_batch` — lanes starting
-        later merely recompute base-identical values for a few
-        positions, which is exact); chunks too small to amortize numpy
-        call overhead fall back to the scalar suffix kernel.
-        """
-        res = np.empty(len(items))
-        if self._ck is not None:
-            evaluate = self.evaluate_move
-            for idx, (cand, dev) in enumerate(items):
-                res[idx] = evaluate(cand, dev)
-            return res
-        feas: List[int] = []
-        for idx, (cand, dev) in enumerate(items):
-            if self._move_feasible(cand.members, dev, cand.area):
-                feas.append(idx)
-            else:
-                res[idx] = INFEASIBLE
-        feas.sort(key=lambda idx: items[idx][0].first_pos)
-        n = self.n
-        model = self.model
-        at = 0
-        while at < len(feas):
-            chunk = feas[at : at + _BATCH_CHUNK]
-            at += len(chunk)
-            if len(chunk) < _BATCH_MIN:
-                for idx in chunk:
-                    cand, dev = items[idx]
-                    res[idx] = self.evaluate_move(cand, dev)
-                continue
-            k = items[chunk[0]][0].first_pos
-            B = len(chunk)
-            map_blk = np.repeat(self._np_map[:, None], B, axis=1)
-            for b, idx in enumerate(chunk):
-                cand, dev = items[idx]
-                map_blk[cand.members, b] = dev
-            start_blk = np.repeat(self._start_np[:, None], B, axis=1)
-            finish_blk = np.repeat(self._finish_np[:, None], B, axis=1)
-            avail_blk = np.repeat(self._snap_np[k][:, None], B, axis=1)
-            ms = np.full(B, self._pre_ms[k])
-            simulate_batch(
-                self.flat,
-                map_blk,
-                self.order,
-                k,
-                start_blk,
-                finish_blk,
-                avail_blk,
-                ms,
-            )
-            res[chunk] = ms
-            model.n_delta_evaluations += B
-            model.delta_work += B * (n - k) / n
-            if self._suffix_hist is not None:
-                for idx in chunk:
-                    self._suffix_hist.observe_int(
-                        n - items[idx][0].first_pos
-                    )
-        return res
 
     # ------------------------------------------------------------------
     def apply_move(
@@ -593,18 +542,13 @@ class DeltaEvaluator:
             if end > makespan:
                 makespan = end
 
-        # refresh the suffix of the trial mirrors and numpy views
+        # refresh the suffix of the trial mirrors
         ts = self._tstart
         tf = self._tfinish
         for j in range(k, self.n):
             i = order[j]
             ts[i] = start[i]
             tf[i] = finish[i]
-        np.copyto(self._start_np, start)
-        np.copyto(self._finish_np, finish)
-        if self.flat.n_slots:
-            np.copyto(self._snap_np, snap_avail)
-        np.copyto(self._pre_ms_np, pre_ms)
         self.base_makespan = makespan
         return makespan
 

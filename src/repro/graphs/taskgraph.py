@@ -277,18 +277,14 @@ class TaskGraph:
     # transformation
     # ------------------------------------------------------------------
     def copy(self) -> "TaskGraph":
+        # the adjacency lists already are in edge-insertion order, so
+        # cloning them equals re-adding every task and edge in order
         g = TaskGraph()
-        for t, n in self._nodes.items():
-            p = n.params
-            g.add_task(
-                t,
-                complexity=p.complexity,
-                parallelizability=p.parallelizability,
-                streamability=p.streamability,
-                area=p.area,
-            )
-        for (u, v), d in self._edges.items():
-            g.add_edge(u, v, data_mb=d)
+        g._nodes = {
+            t: _Node(n.params.copy(), list(n.succ), list(n.pred))
+            for t, n in self._nodes.items()
+        }
+        g._edges = dict(self._edges)
         return g
 
     def subgraph(self, nodes: Iterable[int]) -> "TaskGraph":

@@ -35,7 +35,7 @@ Heuristics (Sec. III-D):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +55,57 @@ __all__ = [
 
 STRATEGIES = ("single_node", "series_parallel")
 HEURISTICS = ("basic", "gamma", "first_fit")
+
+
+class _ObjectiveMoves:
+    """Scratch move evaluator over any full-evaluation objective.
+
+    The :class:`~repro.evaluation.delta.DeltaEvaluator` surface the
+    improve loops use (``candidates``, ``reset``, ``evaluate_move``,
+    ``apply_move``, ``mapping``, ``base_list``), with one
+    ``objective(trial_mapping)`` call per move.  ``bound`` is accepted
+    and ignored: an exact value never loses a comparison the bound-abort
+    would have won.
+    """
+
+    def __init__(self, objective: Callable[[np.ndarray], float]) -> None:
+        self._objective = objective
+        self._map = np.zeros(0, dtype=np.int64)
+        self._list: List[int] = []
+
+    def candidates(self, subs: Sequence[List[int]]) -> List[Candidate]:
+        return [
+            Candidate(sub, np.array(sub, dtype=np.int64), 0, 0, 0.0)
+            for sub in subs
+        ]
+
+    def reset(self, mapping: np.ndarray) -> float:
+        self._map = np.array(mapping, dtype=np.int64)
+        self._list = self._map.tolist()
+        return self._objective(self._map)
+
+    def evaluate_move(
+        self, cand: Candidate, device: int, *, bound: float = np.inf
+    ) -> float:
+        trial = self._map.copy()
+        trial[cand.arr] = device
+        return self._objective(trial)
+
+    def apply_move(self, members: List[int], device: int) -> None:
+        self._map[members] = device
+        for t in members:
+            self._list[t] = device
+
+    @property
+    def mapping(self) -> np.ndarray:
+        return self._map.copy()
+
+    @property
+    def base_list(self) -> List[int]:
+        return self._list
+
+
+MoveEvaluator = Union[DeltaEvaluator, _ObjectiveMoves]
 
 
 class DecompositionMapper(Mapper):
@@ -109,8 +160,8 @@ class DecompositionMapper(Mapper):
     # ------------------------------------------------------------------
     def candidate_index_sets(
         self, evaluator: MappingEvaluator, rng: np.random.Generator
-    ) -> List[np.ndarray]:
-        """Candidate subgraphs as arrays of task indices."""
+    ) -> List[List[int]]:
+        """Candidate subgraphs as lists of task indices."""
         g = evaluator.graph
         if self.strategy == "single_node":
             sets = single_node_candidates(g)
@@ -119,10 +170,7 @@ class DecompositionMapper(Mapper):
                 g, rng=rng, cut_strategy=self.cut_strategy
             )
         index = evaluator.model.index
-        return [
-            np.fromiter((index[t] for t in s), dtype=np.int64, count=len(s))
-            for s in sets
-        ]
+        return [[index[t] for t in s] for s in sets]
 
     # ------------------------------------------------------------------
     def _objective(self, evaluator: MappingEvaluator, mapping) -> float:
@@ -147,70 +195,51 @@ class DecompositionMapper(Mapper):
         mapping = evaluator.cpu_mapping()
         cap = max(1, int(np.ceil(self.iteration_cap_factor * evaluator.n_tasks)))
 
-        # The incremental (delta) path evaluates moves by re-simulating only
-        # the suffix from each move's first affected schedule position —
-        # bit-identical results, O(affected suffix) per move.  It applies
-        # whenever the objective is the plain construction makespan (the
-        # default); subclasses with a custom ``_objective`` (e.g. the
-        # energy-aware mapper) fall back to full trial evaluations.
-        model = getattr(evaluator, "model", None)
-        if type(self)._objective is DecompositionMapper._objective and model is not None:
-            with _trace.span("mapper.construct", "mapper"):
-                delta = DeltaEvaluator(model)
-                prepared = [delta.candidate(sub) for sub in subgraphs]
-                dmoves = [
-                    (cand, d) for cand in prepared for d in range(n_devices)
-                ]
-            with _trace.span("mapper.improve", "mapper"):
-                if self.heuristic == "basic":
-                    mapping, current, iterations = self._run_basic_delta(
-                        delta, mapping, dmoves, cap
-                    )
-                else:
-                    mapping, current, iterations = self._run_gamma_delta(
-                        delta, mapping, dmoves, cap
-                    )
-            n_moves = len(dmoves)
-        else:
-            with _trace.span("mapper.construct", "mapper"):
-                moves: List[Tuple[np.ndarray, int]] = [
-                    (sub, d) for sub in subgraphs for d in range(n_devices)
-                ]
-                current = self._objective(evaluator, mapping)
-            with _trace.span("mapper.improve", "mapper"):
-                if self.heuristic == "basic":
-                    mapping, current, iterations = self._run_basic(
-                        evaluator, mapping, current, moves, cap
-                    )
-                else:
-                    mapping, current, iterations = self._run_gamma(
-                        evaluator, mapping, current, moves, cap
-                    )
-            n_moves = len(moves)
+        # Moves of the plain construction makespan go through the
+        # incremental (delta) evaluator: it re-simulates only the suffix
+        # from each move's first affected schedule position, bit-identical
+        # to a full evaluation.  A subclass with its own ``_objective``
+        # (e.g. the energy-aware mapper) gets the same loop over one full
+        # objective evaluation per move.
+        with _trace.span("mapper.construct", "mapper"):
+            if type(self)._objective is DecompositionMapper._objective:
+                moves_eval = DeltaEvaluator(evaluator.model)
+            else:
+                moves_eval = _ObjectiveMoves(
+                    lambda mp: self._objective(evaluator, mp)
+                )
+            prepared = moves_eval.candidates(subgraphs)
+            moves = [(cand, d) for cand in prepared for d in range(n_devices)]
+        with _trace.span("mapper.improve", "mapper"):
+            improve = (
+                self._improve_basic if self.heuristic == "basic"
+                else self._improve_gamma
+            )
+            mapping, current, iterations = improve(
+                moves_eval, mapping, moves, cap
+            )
         stats = {
             "iterations": float(iterations),
             "n_candidates": float(len(subgraphs)),
-            "n_moves": float(n_moves),
+            "n_moves": float(len(moves)),
         }
         return mapping, stats
 
     # ------------------------------------------------------------------
-    def _run_basic_delta(
+    def _improve_basic(
         self,
-        delta: DeltaEvaluator,
+        delta: MoveEvaluator,
         mapping: np.ndarray,
         moves: Sequence[Tuple[Candidate, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
-        """Basic heuristic on the incremental evaluator.
+        """Basic heuristic: every round evaluates every move.
 
-        Move selection is identical to :meth:`_run_basic`: the evaluator
-        returns bit-identical makespans and move order is preserved (the
-        tie-break is the first strict improvement in move order).  Each
-        move is one suffix evaluation with a bound-abort at the best
-        makespan so far — the abort only short-circuits moves that could
-        not have been selected anyway (the running makespan is a
-        monotone lower bound), so the scan result is exact.
+        The tie-break is the first strict improvement in move order.
+        Each move is evaluated with a bound-abort at the best value so
+        far — the abort only short-circuits moves that could not have
+        been selected anyway (the running makespan is a monotone lower
+        bound), so the scan result is exact.
         """
         iterations = 0
         eps = 1e-12
@@ -238,56 +267,36 @@ class DecompositionMapper(Mapper):
         return delta.mapping, current, iterations
 
     # ------------------------------------------------------------------
-    def _run_gamma_delta(
+    def _improve_gamma(
         self,
-        delta: DeltaEvaluator,
+        delta: MoveEvaluator,
         mapping: np.ndarray,
         moves: Sequence[Tuple[Candidate, int]],
         cap: int,
     ) -> Tuple[np.ndarray, float, int]:
-        """Gamma/FirstFit heuristic on the incremental evaluator.
+        """Gamma/FirstFit heuristic (see module docstring).
 
-        Mirrors :meth:`_run_gamma` exactly.  Expectations steer later
-        scan orders, so every evaluated move's gain is exact (no
-        bound-abort).  The first pass evaluates every move and goes
-        through :meth:`DeltaEvaluator.evaluate_moves` (one large batch
-        on the pure Python path, plain suffix evaluations with the C
-        kernel); the per-round priority scans evaluate only a handful of
-        moves before stopping, so they always follow the scan move by
-        move.
+        Expectations steer later scan orders, so every evaluated move's
+        gain is exact (no bound-abort).
         """
         eps = 1e-12
         n_moves = len(moves)
-        expected = [0.0] * n_moves
+        expected = [0.0] * n_moves  # expected improvement per move
         current = delta.reset(mapping)
         mp = delta.base_list
+        evaluate = delta.evaluate_move
 
-        def pass_gains(indices) -> Dict[int, float]:
-            """Exact gains for a set of move indices (no-ops are 0)."""
-            items = []
-            keys = []
-            gains: Dict[int, float] = {}
-            for k in indices:
-                cand, d = moves[k]
-                for t in cand.members:
-                    if mp[t] != d:
-                        break
-                else:
-                    gains[k] = 0.0
-                    continue
-                items.append((cand, d))
-                keys.append(k)
-            if items:
-                for k, ms in zip(keys, delta.evaluate_moves(items)):
-                    gains[k] = current - ms
-            return gains
-
-        # First pass (Sec. III-D): evaluate every move once.
-        gains = pass_gains(range(n_moves))
+        # First pass (Sec. III-D: expectations are assigned "after the first
+        # iteration of the algorithm"): evaluate every move once.
         best_gain = 0.0
         best_idx = -1
-        for k in range(n_moves):
-            gain = gains[k]
+        for k, (cand, d) in enumerate(moves):
+            for t in cand.members:
+                if mp[t] != d:
+                    break
+            else:  # no-op move: already mapped there
+                continue  # expected[k] stays 0.0
+            gain = current - evaluate(cand, d)
             expected[k] = gain
             if gain > best_gain + eps:
                 best_gain = gain
@@ -301,8 +310,12 @@ class DecompositionMapper(Mapper):
         iterations += 1
 
         gamma = self.gamma
-        evaluate = delta.evaluate_move
         while iterations < cap:
+            # One round: scan moves in descending expected improvement
+            # (the paper's priority queue); once an actual improvement b is
+            # found, only look ahead while expected > b / gamma.  A round
+            # that finds nothing has recomputed *every* move under the final
+            # mapping (the paper's exact-termination pass).
             order = np.argsort(
                 -np.asarray(expected), kind="stable"
             ).tolist()
@@ -330,100 +343,6 @@ class DecompositionMapper(Mapper):
             current -= best_gain
             iterations += 1
         return delta.mapping, current, iterations
-
-    # ------------------------------------------------------------------
-    def _run_basic(
-        self,
-        evaluator: MappingEvaluator,
-        mapping: np.ndarray,
-        current: float,
-        moves: Sequence[Tuple[np.ndarray, int]],
-        cap: int,
-    ) -> Tuple[np.ndarray, float, int]:
-        iterations = 0
-        eps = 1e-12
-        while iterations < cap:
-            best_ms = current
-            best_move: Optional[Tuple[np.ndarray, int]] = None
-            for sub, d in moves:
-                if np.all(mapping[sub] == d):
-                    continue
-                trial = mapping.copy()
-                trial[sub] = d
-                ms = self._objective(evaluator, trial)
-                if ms < best_ms - eps:
-                    best_ms = ms
-                    best_move = (sub, d)
-            if best_move is None:
-                break
-            mapping[best_move[0]] = best_move[1]
-            current = best_ms
-            iterations += 1
-        return mapping, current, iterations
-
-    # ------------------------------------------------------------------
-    def _run_gamma(
-        self,
-        evaluator: MappingEvaluator,
-        mapping: np.ndarray,
-        current: float,
-        moves: Sequence[Tuple[np.ndarray, int]],
-        cap: int,
-    ) -> Tuple[np.ndarray, float, int]:
-        eps = 1e-12
-        n_moves = len(moves)
-        expected = [0.0] * n_moves  # expected improvement per move
-
-        def evaluate(k: int) -> float:
-            sub, d = moves[k]
-            if np.all(mapping[sub] == d):
-                return 0.0
-            trial = mapping.copy()
-            trial[sub] = d
-            return current - self._objective(evaluator, trial)
-
-        # First pass (Sec. III-D: expectations are assigned "after the first
-        # iteration of the algorithm"): evaluate every move once.
-        best_gain = 0.0
-        best_idx = -1
-        for k in range(n_moves):
-            gain = evaluate(k)
-            expected[k] = gain
-            if gain > best_gain + eps:
-                best_gain = gain
-                best_idx = k
-        iterations = 0
-        if best_idx < 0:
-            return mapping, current, iterations
-        sub, d = moves[best_idx]
-        mapping[sub] = d
-        current -= best_gain
-        iterations += 1
-
-        while iterations < cap:
-            # One round: scan moves in descending expected improvement
-            # (the paper's priority queue); once an actual improvement b is
-            # found, only look ahead while expected > b / gamma.  A round
-            # that finds nothing has recomputed *every* move under the final
-            # mapping (the paper's exact-termination pass).
-            order = sorted(range(n_moves), key=lambda k: -expected[k])
-            best_gain = 0.0
-            best_idx = -1
-            for k in order:
-                if best_gain > eps and expected[k] <= best_gain / self.gamma + eps:
-                    break
-                gain = evaluate(k)
-                expected[k] = gain
-                if gain > best_gain + eps:
-                    best_gain = gain
-                    best_idx = k
-            if best_idx < 0:
-                break
-            sub, d = moves[best_idx]
-            mapping[sub] = d
-            current -= best_gain
-            iterations += 1
-        return mapping, current, iterations
 
 
 def single_node(**kwargs) -> DecompositionMapper:

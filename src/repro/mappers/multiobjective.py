@@ -30,7 +30,7 @@ from ..evaluation.energy import EnergyModel
 from ..evaluation.evaluator import MappingEvaluator
 from .base import Mapper
 from .decomposition import DecompositionMapper
-from .genetic import single_point_crossover
+from .genetic import repair_area, single_point_crossover
 
 __all__ = [
     "dominates",
@@ -159,7 +159,6 @@ class ParetoNsgaIIMapper(Mapper):
         population_size: int = 100,
         crossover_rate: float = 0.9,
         mutation_rate: Optional[float] = None,
-        batch_eval: bool = True,
     ) -> None:
         if generations < 1 or population_size < 4:
             raise ValueError("need >= 1 generation and >= 4 individuals")
@@ -167,12 +166,10 @@ class ParetoNsgaIIMapper(Mapper):
         self.population_size = population_size
         self.crossover_rate = crossover_rate
         self.mutation_rate = mutation_rate
-        self.batch_eval = batch_eval
         #: Pareto front of the final population: (mapping, makespan, energy)
         self.last_front_: List[Tuple[np.ndarray, float, float]] = []
         #: (best makespan, best energy) of the population per generation
         self.history_: List[Tuple[float, float]] = []
-        self._batched = None
         self._energy_memo: Dict[bytes, float] = {}
         super().__init__()
 
@@ -180,53 +177,27 @@ class ParetoNsgaIIMapper(Mapper):
     def _evaluate(
         self, pop: np.ndarray, evaluator: MappingEvaluator, energy: EnergyModel
     ) -> np.ndarray:
+        """(makespan, energy) per genome: makespans in one population
+        call; energy scalar per *distinct* genome, memoized across the
+        whole run (elitism and crossover recreate genomes constantly; the
+        memo shares the exact value, never an approximation)."""
         objs = np.empty((len(pop), 2))
-        if self._batched is not None:
-            # makespan lanes in one batch call; energy scalar per
-            # *distinct* genome, memoized across the whole run (elitism
-            # and crossover recreate genomes constantly; the memo shares
-            # the exact value, never an approximation)
-            ms = self._batched(pop)
-            objs[:, 0] = ms
-            memo = self._energy_memo
-            rows = pop.tolist()
-            for r in range(len(pop)):
-                if np.isfinite(ms[r]):
-                    key = pop[r].tobytes()
-                    e = memo.get(key)
-                    if e is None:
-                        memo[key] = e = energy.energy(
-                            rows[r], makespan=ms[r], check_feasibility=False
-                        )
-                    objs[r, 1] = e
-                else:
-                    objs[r, 1] = np.inf
-            return objs
-        for r, ind in enumerate(pop):
-            ms = evaluator.construction_makespan(ind)
-            objs[r, 0] = ms
-            objs[r, 1] = (
-                energy.energy(ind, makespan=ms, check_feasibility=False)
-                if np.isfinite(ms)
-                else np.inf
-            )
+        ms = evaluator.construction_makespans(pop)
+        objs[:, 0] = ms
+        memo = self._energy_memo
+        rows = pop.tolist()
+        for r in range(len(pop)):
+            if np.isfinite(ms[r]):
+                key = pop[r].tobytes()
+                e = memo.get(key)
+                if e is None:
+                    memo[key] = e = energy.energy(
+                        rows[r], makespan=ms[r], check_feasibility=False
+                    )
+                objs[r, 1] = e
+            else:
+                objs[r, 1] = np.inf
         return objs
-
-    def _repair(self, pop, evaluator, rng) -> None:
-        model = evaluator.model
-        area = model._area  # noqa: SLF001
-        host = evaluator.platform.host_index
-        for d, capacity in evaluator.platform.area_capacities().items():
-            usage = (pop == d) @ area
-            for r in np.nonzero(usage > capacity)[0]:
-                genome = pop[r]
-                on_dev = rng.permutation(np.nonzero(genome == d)[0])
-                used = float(area[np.nonzero(genome == d)[0]].sum())
-                for g in on_dev:
-                    if used <= capacity:
-                        break
-                    genome[g] = host
-                    used -= area[g]
 
     @staticmethod
     def _survival(objs: np.ndarray, keep: int) -> np.ndarray:
@@ -253,16 +224,14 @@ class ParetoNsgaIIMapper(Mapper):
         pop_size = self.population_size
         p_mut = self.mutation_rate if self.mutation_rate is not None else 1.0 / n
         energy = EnergyModel(evaluator.model)
-        self._batched = (
-            getattr(evaluator, "construction_makespans", None)
-            if self.batch_eval
-            else None
-        )
         self._energy_memo: Dict[bytes, float] = {}
+        area = evaluator.model._area  # noqa: SLF001 - package-internal
+        host = evaluator.platform.host_index
+        capacities = list(evaluator.platform.area_capacities().items())
 
         pop = rng.integers(0, m, size=(pop_size, n), dtype=np.int64)
-        pop[0] = evaluator.platform.host_index
-        self._repair(pop, evaluator, rng)
+        pop[0] = host
+        repair_area(pop, area, host, capacities, rng)
         objs = self._evaluate(pop, evaluator, energy)
         history: List[Tuple[float, float]] = []
 
@@ -293,7 +262,7 @@ class ParetoNsgaIIMapper(Mapper):
             mask = rng.random(size=children.shape) < p_mut
             if mask.any():
                 children[mask] = rng.integers(0, m, size=int(mask.sum()))
-            self._repair(children, evaluator, rng)
+            repair_area(children, area, host, capacities, rng)
             child_objs = self._evaluate(children, evaluator, energy)
 
             combined = np.vstack([pop, children])
@@ -306,7 +275,6 @@ class ParetoNsgaIIMapper(Mapper):
             )
 
         self.history_ = history
-        self._batched = None  # don't pin the evaluator past the run
         self._energy_memo = {}
         # final front and knee selection
         finite = np.isfinite(objs).all(axis=1)

@@ -136,14 +136,22 @@ class _ForestGrower:
 
     # -- Alg. 1, GROW_SERIES -------------------------------------------
     def grow_series(self, tree: SPTree) -> SPTree:
-        while tree.sink is not VIRTUAL_SINK and self.indeg[tree.sink] <= tree.outsize:
-            v = tree.sink
+        # The appended operations are chained once at the end — the same
+        # flattened tree as ``series(tree, part)`` per step, without
+        # re-copying the growing child list every step.
+        parts: Optional[List[SPTree]] = None
+        part = tree
+        while part.sink is not VIRTUAL_SINK and self.indeg[part.sink] <= part.outsize:
+            v = part.sink
             out = self.succ[v]
             if len(out) == 1:
-                tree = series(tree, SPLeaf(v, out[0]))
+                part = SPLeaf(v, out[0])
             else:
-                tree = series(tree, self.grow_parallel(v))
-        return tree
+                part = self.grow_parallel(v)
+            if parts is None:
+                parts = [tree]
+            parts.append(part)
+        return tree if parts is None else series(*parts)
 
     # -- Alg. 1, GROW_PARALLEL -------------------------------------------
     def grow_parallel(self, v: Node) -> SPTree:

@@ -41,7 +41,16 @@ class SPTree:
 
     def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
         """All original-graph edges represented by this tree, in order."""
-        raise NotImplementedError
+        # iterative pre-order walk (children pushed right to left): the
+        # left-to-right leaf order of the recursive definition, without
+        # one generator frame per tree level
+        stack: List[SPTree] = [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, SPLeaf):
+                yield (t.source, t.sink)
+            else:
+                stack.extend(reversed(t.children))
 
     def nodes(self) -> Set[Node]:
         """All graph nodes covered by this tree (terminals included)."""
@@ -114,10 +123,6 @@ class SPSeries(SPTree):
     def outsize(self) -> int:
         return self.children[-1].outsize
 
-    def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
-        for c in self.children:
-            yield from c.leaf_edges()
-
     def inner_nodes(self) -> Iterator[SPTree]:
         yield self
         for c in self.children:
@@ -151,10 +156,6 @@ class SPParallel(SPTree):
     def outsize(self) -> int:
         return sum(c.outsize for c in self.children)
 
-    def leaf_edges(self) -> Iterator[Tuple[Node, Node]]:
-        for c in self.children:
-            yield from c.leaf_edges()
-
     def inner_nodes(self) -> Iterator[SPTree]:
         yield self
         for c in self.children:
@@ -168,12 +169,16 @@ class SPParallel(SPTree):
         return f"SPParallel({self.source!r} -> {self.sink!r}, {len(self.children)} children)"
 
 
-def series(left: SPTree, right: SPTree) -> SPTree:
-    """Sequential composition keeping series nodes maximal (flattening)."""
-    if left.sink != right.source:
-        raise ValueError(f"cannot chain {left!r} and {right!r}")
+def series(*trees: SPTree) -> SPTree:
+    """Sequential composition keeping series nodes maximal (flattening).
+
+    ``series(a, b, c)`` is ``series(series(a, b), c)``, built in one pass.
+    """
+    for left, right in zip(trees, trees[1:]):
+        if left.sink != right.source:
+            raise ValueError(f"cannot chain {left!r} and {right!r}")
     parts: List[SPTree] = []
-    for t in (left, right):
+    for t in trees:
         if isinstance(t, SPSeries):
             parts.extend(t.children)
         else:

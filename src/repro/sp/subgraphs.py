@@ -58,8 +58,8 @@ def schedule_span(members, pos) -> "tuple[int, int]":
 
 
 def _ordered(sets: set, g: TaskGraph) -> List[FrozenSet[int]]:
-    pos = {t: i for i, t in enumerate(g.tasks())}
-    return sorted(sets, key=lambda s: (len(s), sorted(pos[t] for t in s)))
+    pos = {t: i for i, t in enumerate(g.tasks())}.__getitem__
+    return sorted(sets, key=lambda s: (len(s), sorted(map(pos, s))))
 
 
 def single_node_candidates(g: TaskGraph) -> List[FrozenSet[int]]:
@@ -67,24 +67,29 @@ def single_node_candidates(g: TaskGraph) -> List[FrozenSet[int]]:
     return [frozenset({t}) for t in g.tasks()]
 
 
-def _collect_candidates(op, real_tasks: set, sets: set) -> FrozenSet[int]:
+def _collect_candidates(op, real_tasks: set, sets: set) -> set:
     """Post-order walk adding one candidate per inner operation.
 
     Returns the node set of ``op``; computing the sets bottom-up (each
-    operation unions its children's sets) replaces the original
-    per-operation ``op.nodes()`` leaf walks, which re-enumerated every
-    leaf edge once per tree level — a measurable cost in the mapper hot
-    path now that evaluation itself is cheap.
+    operation unions its children's sets, leaf edges add their two
+    terminals) replaces the original per-operation ``op.nodes()`` leaf
+    walks, which re-enumerated every leaf edge once per tree level — a
+    measurable cost in the mapper hot path now that evaluation itself is
+    cheap.
     """
     if not isinstance(op, (SPSeries, SPParallel)):  # leaf edge
-        return frozenset((op.source, op.sink))
-    nodes = frozenset().union(
-        *(_collect_candidates(c, real_tasks, sets) for c in op.children)
-    )
+        return {op.source, op.sink}
+    nodes = set()
+    for c in op.children:
+        if isinstance(c, (SPSeries, SPParallel)):
+            nodes |= _collect_candidates(c, real_tasks, sets)
+        else:
+            nodes.add(c.source)
+            nodes.add(c.sink)
     cand = nodes - {op.source, op.sink} if isinstance(op, SPSeries) else nodes
     cand = cand & real_tasks  # drop virtual/normalization nodes
     if cand:
-        sets.add(cand)
+        sets.add(frozenset(cand))
     return nodes
 
 

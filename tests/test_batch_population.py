@@ -9,12 +9,14 @@ population entry and the metaheuristic mappers built on it:
   to a scalar evaluation of that row — across graph families, random
   populations, FPGA area-infeasible genomes, duplicate rows (the dedup
   path) and ``contention=False``;
+- both kernels dedup the same way: identical feasible rows are
+  simulated once, and the batch counters report the distinct feasible
+  rows on the C and the Python kernel alike;
 - the four metaheuristic mappers (NSGA-II, Pareto NSGA-II, tabu,
-  annealing) must produce **bit-identical seeded trajectories** on the
-  batched/delta paths and on the legacy scalar paths
-  (``batch_eval=False`` / ``delta_eval=False``, which are the pre-batch
-  implementations verbatim): same rng draws, same accepted moves, same
-  per-generation history, same final mapping;
+  annealing) must produce **bit-identical seeded trajectories** to the
+  pre-batch scalar loops kept in ``tests/legacy_mappers.py``, on every
+  kernel: same rng draws, same accepted moves, same per-generation
+  history, same final mapping;
 - the vectorized non-dominated sorting must agree with the classic
   pairwise implementation decision-for-decision *and* order-for-order
   (front ordering feeds crowding tie-breaks), including NaN objectives;
@@ -35,7 +37,6 @@ from repro.evaluation import (
     random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.costmodel import _POP_BATCH_MIN
 from repro.graphs.generators import random_sp_graph
 from repro.mappers import (
     NsgaIIMapper,
@@ -51,6 +52,13 @@ from repro.mappers.multiobjective import (
 )
 from repro.platform import paper_platform
 from tests.conftest import make_evaluator
+from tests.legacy_mappers import (
+    LegacyNsgaIIMapper,
+    LegacyParetoNsgaIIMapper,
+    LegacySimulatedAnnealingMapper,
+    LegacyTabuSearchMapper,
+    kernel_evaluator,
+)
 from tests.test_kernel_delta import FAMILIES, _same, graph_family, tight_platform
 
 HAVE_CKERNEL = load_ckernel() is not None
@@ -99,15 +107,32 @@ class TestBatchBitIdentity:
                 oc[r], model.simulate(pop[r], order, check_feasibility=False)
             )
 
-    def test_small_population_scalar_fallback(self):
-        """Below _POP_BATCH_MIN lanes the Python path goes scalar — same bits."""
-        rng = np.random.default_rng(11)
+    def test_dedup_counts_match_across_kernels(self):
+        """Duplicate and infeasible rows: same values and same counters
+        (distinct feasible rows) on the C and the Python kernel."""
+        rng = np.random.default_rng(17)
         g = random_sp_graph(16, rng)
-        model = CostModel(g, paper_platform(), use_ckernel=False)
-        pop = rng.integers(0, 3, size=(_POP_BATCH_MIN - 1, model.n), dtype=np.int64)
-        batched = model.simulate_many(pop)
-        for r in range(len(pop)):
-            assert _same(batched[r], model.simulate(pop[r]))
+        plat = tight_platform()
+        # CPU/GPU rows are feasible; everything on the tiny FPGA is not
+        distinct = rng.integers(0, 2, size=(9, 16), dtype=np.int64)
+        distinct[0] = 2
+        pop = distinct[rng.integers(0, 9, size=50)]
+        pop[:3] = distinct[0]
+        feasible = CostModel(g, plat).feasible_mask(pop)
+        assert not feasible.all() and feasible.any()
+        n_distinct = len({row.tobytes() for row in pop[feasible]})
+        assert n_distinct < feasible.sum()  # duplicates among feasible rows
+        results = []
+        for mode in MODES:
+            model = CostModel(g, plat, use_ckernel=mode)
+            res = model.simulate_many(pop)
+            for r in range(len(pop)):
+                assert _same(res[r], model.simulate(pop[r]))
+            assert model.n_batched_evaluations == n_distinct
+            assert model.n_batch_calls == 1
+            results.append(res)
+        for res in results[1:]:
+            np.testing.assert_array_equal(res, results[0])
 
     def test_all_rows_infeasible_short_circuits(self):
         g = random_sp_graph(12, np.random.default_rng(3))
@@ -165,90 +190,72 @@ class TestBatchBitIdentity:
 
 
 # ---------------------------------------------------------------------------
-# (b) seeded mapper trajectories: batched/delta path == legacy scalar path
+# (b) seeded mapper trajectories: mapper == legacy scalar loop, per kernel
 # ---------------------------------------------------------------------------
 class TestMetaheuristicTrajectories:
-    """`batch_eval=False` / `delta_eval=False` run the pre-batch loops
-    verbatim; both paths must draw the same rng stream and produce the
-    same history and final mapping, bit for bit."""
+    """The oracles in ``tests/legacy_mappers.py`` are the pre-batch loops
+    verbatim; each mapper must draw the same rng stream and produce the
+    same history and final mapping, bit for bit, on every kernel."""
 
-    def _pair(self, seed, n=18):
+    @staticmethod
+    def _run_pair(fast, ref, seed, n=18, platform=None):
         g = random_sp_graph(n, np.random.default_rng(seed))
-        plat = paper_platform()
-        return (
-            make_evaluator(g, plat, seed=seed, n_random=2),
-            make_evaluator(g, plat, seed=seed, n_random=2),
-        )
+        plat = platform or paper_platform()
+        for mode in MODES:
+            ev_fast = kernel_evaluator(g, plat, mode, seed=seed, n_random=2)
+            ev_ref = kernel_evaluator(g, plat, mode, seed=seed, n_random=2)
+            rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
+            rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
+            np.testing.assert_array_equal(rf.mapping, rr.mapping)
+            assert rf.makespan == rr.makespan
+            yield rf, rr
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_nsgaii(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
         fast = NsgaIIMapper(generations=12, population_size=20)
-        ref = NsgaIIMapper(generations=12, population_size=20, batch_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["n_batched_evaluations"] > 0
-        assert rr.stats["n_batched_evaluations"] == 0
+        ref = LegacyNsgaIIMapper(generations=12, population_size=20)
+        for rf, rr in self._run_pair(fast, ref, seed):
+            assert fast.history_ == ref.history_
+            assert rf.stats["n_batched_evaluations"] > 0
+            assert rr.stats["n_batched_evaluations"] == 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_pareto_nsgaii(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
         fast = ParetoNsgaIIMapper(generations=8, population_size=16)
-        ref = ParetoNsgaIIMapper(
-            generations=8, population_size=16, batch_eval=False
-        )
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert len(fast.last_front_) == len(ref.last_front_)
-        for (ma, msa, ea), (mb, msb, eb) in zip(
-            fast.last_front_, ref.last_front_
-        ):
-            np.testing.assert_array_equal(ma, mb)
-            assert msa == msb and ea == eb
+        ref = LegacyParetoNsgaIIMapper(generations=8, population_size=16)
+        for _ in self._run_pair(fast, ref, seed):
+            assert fast.history_ == ref.history_
+            assert len(fast.last_front_) == len(ref.last_front_)
+            for (ma, msa, ea), (mb, msb, eb) in zip(
+                fast.last_front_, ref.last_front_
+            ):
+                np.testing.assert_array_equal(ma, mb)
+                assert msa == msb and ea == eb
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_tabu(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
         fast = TabuSearchMapper(iterations=40, neighborhood=12)
-        ref = TabuSearchMapper(iterations=40, neighborhood=12, delta_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["improving_steps"] == rr.stats["improving_steps"]
+        ref = LegacyTabuSearchMapper(iterations=40, neighborhood=12)
+        for rf, rr in self._run_pair(fast, ref, seed):
+            assert fast.history_ == ref.history_
+            assert rf.stats["improving_steps"] == rr.stats["improving_steps"]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_annealing(self, seed):
-        ev_fast, ev_ref = self._pair(seed)
         fast = SimulatedAnnealingMapper(iterations=400)
-        ref = SimulatedAnnealingMapper(iterations=400, delta_eval=False)
-        rf = fast.map(ev_fast, rng=np.random.default_rng(seed))
-        rr = ref.map(ev_ref, rng=np.random.default_rng(seed))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
-        assert fast.history_ == ref.history_
-        assert rf.stats["accepted"] == rr.stats["accepted"]
+        ref = LegacySimulatedAnnealingMapper(iterations=400)
+        for rf, rr in self._run_pair(fast, ref, seed):
+            assert fast.history_ == ref.history_
+            assert rf.stats["accepted"] == rr.stats["accepted"]
 
     def test_tabu_on_area_tight_platform(self):
-        """Infeasible moves must be skipped identically on both paths."""
-        g = random_sp_graph(14, np.random.default_rng(9))
-        ev_fast = make_evaluator(g, tight_platform(), n_random=2)
-        ev_ref = make_evaluator(g, tight_platform(), n_random=2)
-        rf = TabuSearchMapper(iterations=30, neighborhood=10).map(
-            ev_fast, rng=np.random.default_rng(9)
-        )
-        rr = TabuSearchMapper(
-            iterations=30, neighborhood=10, delta_eval=False
-        ).map(ev_ref, rng=np.random.default_rng(9))
-        np.testing.assert_array_equal(rf.mapping, rr.mapping)
-        assert rf.makespan == rr.makespan
+        """Infeasible moves must be skipped identically on both sides."""
+        for _ in self._run_pair(
+            TabuSearchMapper(iterations=30, neighborhood=10),
+            LegacyTabuSearchMapper(iterations=30, neighborhood=10),
+            seed=9, n=14, platform=tight_platform(),
+        ):
+            pass
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +297,8 @@ class TestMetaheuristicCounters:
     def test_scalar_paths_report_simulations(self, platform):
         g = random_sp_graph(12, np.random.default_rng(6))
         ev = make_evaluator(g, platform, n_random=2)
-        res = NsgaIIMapper(
-            generations=4, population_size=10, batch_eval=False
+        res = LegacyNsgaIIMapper(
+            generations=4, population_size=10
         ).map(ev, rng=np.random.default_rng(0))
         assert res.stats["n_simulations"] > 0
         assert res.stats["n_batched_evaluations"] == 0.0

@@ -1,7 +1,7 @@
 """Exactness contract of the fast evaluation core.
 
-The flat-array kernel (Python and compiled C), the vectorized batch
-kernel and the incremental delta evaluator are *optimizations, never
+The flat-array kernel (Python and compiled C) and the incremental delta
+evaluator are *optimizations, never
 approximations*: every path must reproduce the original nested-list
 walk (``CostModel._simulate_reference``) **bit for bit** — makespan and
 per-task start/finish — across graph families, random mappings, random
@@ -27,7 +27,6 @@ from repro.evaluation import (
     random_topological_schedule,
 )
 from repro.evaluation._ckernel import load_ckernel
-from repro.evaluation.delta import _BATCH_MIN
 from repro.evaluation.kernel import simulate_flat
 from repro.graphs import TaskGraph
 from repro.graphs.generators import (
@@ -38,9 +37,15 @@ from repro.graphs.generators import (
     random_sp_graph,
 )
 from repro.mappers.decomposition import DecompositionMapper
+from repro.mappers.multiobjective import EnergyAwareDecompositionMapper
 from repro.platform import Platform, cpu, fpga, gpu, paper_platform
 from repro.sp.subgraphs import schedule_span
 from tests.conftest import make_evaluator
+from tests.legacy_mappers import (
+    LegacyDecompositionMapper,
+    LegacyEnergyAwareDecompositionMapper,
+    kernel_evaluator,
+)
 
 HAVE_CKERNEL = load_ckernel() is not None
 
@@ -190,8 +195,15 @@ class TestDeltaEquivalence:
                     model.flat, trial.tolist(), delta.order,
                     out_start=start, out_finish=finish,
                 )
-                np.testing.assert_array_equal(delta._start_np, start)
-                np.testing.assert_array_equal(delta._finish_np, finish)
+                # the base lives in the native buffers with the C
+                # kernel, in the Python lists without it
+                native = delta._ck is not None
+                np.testing.assert_array_equal(
+                    delta._start_np if native else delta._start, start
+                )
+                np.testing.assert_array_equal(
+                    delta._finish_np if native else delta._finish, finish
+                )
 
     @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
     def test_bound_abort_is_conservative(self, use_ckernel):
@@ -213,24 +225,37 @@ class TestDeltaEquivalence:
             else:
                 assert bounded == np.inf or bounded == exact
 
-    def test_batch_path_matches_scratch(self):
-        """Force the vectorized numpy batch (> _BATCH_MIN lanes) and pin it."""
-        rng = np.random.default_rng(9)
-        plat = tight_platform()
-        g = random_sp_graph(24, rng)
-        model = CostModel(g, plat, use_ckernel=False)
+    @pytest.mark.parametrize("use_ckernel", MODES, ids=MODE_IDS)
+    def test_prepared_candidate_set_stays_exact(self, use_ckernel):
+        """One ``candidates`` call (shared buffer, per-device move
+        records) serves every device across commits, bit-identically."""
+        rng = np.random.default_rng(11)
+        plat = tight_platform()  # small FPGA: infeasible moves do occur
+        g = random_layered_graph(4, 4, rng)
+        model = CostModel(g, plat, use_ckernel=use_ckernel)
+        n = model.n
         delta = DeltaEvaluator(model)
-        delta.reset(np.zeros(24, dtype=np.int64))
-        items = []
-        for _ in range(_BATCH_MIN + 40):
-            size = int(rng.integers(1, 6))
-            sub = rng.choice(24, size=size, replace=False)
-            items.append((delta.candidate(sub), int(rng.integers(3))))
-        res = delta.evaluate_moves(items)
-        for (cand, d), ms in zip(items, res):
-            trial = delta.mapping
-            trial[cand.members] = d
-            assert _same(ms, model._simulate_reference(trial))
+        delta.reset(np.zeros(n, dtype=np.int64))
+        subs = [
+            rng.choice(n, size=int(rng.integers(1, 5)), replace=False)
+            for _ in range(12)
+        ]
+        subs[1] = subs[1].tolist()  # plain lists are accepted too
+        cands = delta.candidates(subs)
+        assert [c.members for c in cands] == [list(map(int, s)) for s in subs]
+        for _ in range(6):
+            for cand in cands:
+                for d in range(plat.n_devices):
+                    trial = delta.mapping
+                    trial[cand.members] = d
+                    assert _same(
+                        delta.evaluate_move(cand, d),
+                        model._simulate_reference(trial),
+                    )
+            cand = cands[int(rng.integers(len(cands)))]
+            d = int(rng.integers(plat.n_devices))
+            if delta.evaluate_move(cand, d) != INFEASIBLE:
+                delta.apply_move(cand.members, d)
 
     def test_delta_needs_feasible_base(self):
         g = TaskGraph()
@@ -248,45 +273,53 @@ class TestDeltaEquivalence:
 
 
 # ---------------------------------------------------------------------------
-# mapper trajectories: delta path == legacy full-evaluation path
+# mapper trajectories: the one improve loop == the legacy full-evaluation
+# loops kept in tests/legacy_mappers.py, on every kernel
 # ---------------------------------------------------------------------------
-class _LegacyForced(DecompositionMapper):
-    """Overriding ``_objective`` (even trivially) disables the delta path."""
-
-    def _objective(self, evaluator, mapping):
-        return DecompositionMapper._objective(self, evaluator, mapping)
-
-
 class TestMapperTrajectories:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_first_fit_identical_to_legacy(self, seed):
-        self._check("series_parallel", "first_fit", seed)
+        self._check(DecompositionMapper, LegacyDecompositionMapper,
+                    seed, "series_parallel", "first_fit")
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_basic_identical_to_legacy(self, seed):
-        self._check("single_node", "basic", seed)
+        self._check(DecompositionMapper, LegacyDecompositionMapper,
+                    seed, "single_node", "basic")
 
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2**31))
     def test_gamma_identical_to_legacy(self, seed):
-        self._check("series_parallel", "gamma", seed, gamma=2.0)
+        self._check(DecompositionMapper, LegacyDecompositionMapper,
+                    seed, "series_parallel", "gamma", gamma=2.0)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2**31),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]),
+           heuristic=st.sampled_from(["basic", "first_fit"]))
+    def test_energy_aware_identical_to_legacy(self, seed, alpha, heuristic):
+        """Custom objective: the scratch move evaluator in the shared loop."""
+        self._check(EnergyAwareDecompositionMapper,
+                    LegacyEnergyAwareDecompositionMapper,
+                    seed, alpha, "series_parallel", heuristic)
 
     @staticmethod
-    def _check(strategy, heuristic, seed, **kw):
+    def _check(mapper_cls, legacy_cls, seed, *args, **kw):
         g = random_almost_sp_graph(22, 5, np.random.default_rng(seed))
-        ev1 = make_evaluator(g, paper_platform(), seed=seed, n_random=3)
-        ev2 = make_evaluator(g, paper_platform(), seed=seed, n_random=3)
-        fast = DecompositionMapper(strategy, heuristic, **kw).map(
-            ev1, rng=np.random.default_rng(seed)
-        )
-        legacy = _LegacyForced(strategy, heuristic, **kw).map(
-            ev2, rng=np.random.default_rng(seed)
-        )
-        np.testing.assert_array_equal(fast.mapping, legacy.mapping)
-        assert fast.makespan == legacy.makespan
-        assert fast.stats["iterations"] == legacy.stats["iterations"]
+        for mode in MODES:
+            ev1 = kernel_evaluator(g, paper_platform(), mode, seed=seed, n_random=3)
+            ev2 = kernel_evaluator(g, paper_platform(), mode, seed=seed, n_random=3)
+            fast = mapper_cls(*args, **kw).map(
+                ev1, rng=np.random.default_rng(seed)
+            )
+            legacy = legacy_cls(*args, **kw).map(
+                ev2, rng=np.random.default_rng(seed)
+            )
+            np.testing.assert_array_equal(fast.mapping, legacy.mapping)
+            assert fast.makespan == legacy.makespan
+            assert fast.stats["iterations"] == legacy.stats["iterations"]
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,25 @@ class TestSeries:
         assert isinstance(t, SPSeries)
         assert len(t.children) == 3  # not nested
 
+    def test_n_ary_equals_pairwise(self):
+        par = parallel([SPLeaf(1, 2), SPLeaf(1, 2)])
+        parts = [SPLeaf(0, 1), par, series(SPLeaf(2, 3), SPLeaf(3, 4))]
+        t = series(*parts)
+        pairwise = series(series(parts[0], parts[1]), parts[2])
+        assert t.children == pairwise.children
+        assert len(t.children) == 4
+        with pytest.raises(ValueError):
+            series(SPLeaf(0, 1), SPLeaf(1, 2), SPLeaf(3, 4))
+
+    def test_leaf_edges_left_to_right_in_nested_trees(self):
+        detour = series(SPLeaf(2, 5), SPLeaf(5, 3))
+        inner = series(SPLeaf(1, 2), parallel([SPLeaf(2, 3), detour]))
+        t = series(SPLeaf(0, 1), parallel([inner, SPLeaf(1, 3)]), SPLeaf(3, 4))
+        assert list(t.leaf_edges()) == [
+            (0, 1), (1, 2), (2, 3), (2, 5), (5, 3), (1, 3), (3, 4)
+        ]
+        assert t.n_edges == 7
+
     def test_mismatched_terminals_raise(self):
         with pytest.raises(ValueError):
             series(SPLeaf(0, 1), SPLeaf(2, 3))

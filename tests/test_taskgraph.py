@@ -136,6 +136,27 @@ class TestTransformation:
         assert not fig1_graph.has_edge(0, 5)
         assert c.n_edges == fig1_graph.n_edges + 1
 
+    def test_copy_equals_rebuilding_in_insertion_order(self):
+        g = TaskGraph()
+        g.add_task(7, complexity=2.0, area=3.0)
+        for u, v in [(7, 1), (7, 2), (1, 3), (2, 3), (7, 3)]:
+            g.add_edge(u, v, data_mb=float(u + v))
+        g.remove_edge(7, 1)
+        g.add_edge(7, 1, data_mb=5.0)  # re-added: now last in 7's successors
+        g.add_edge(2, 3, data_mb=9.0)  # overwritten in place
+        c = g.copy()
+        assert c.tasks() == g.tasks()
+        assert c.edges() == g.edges()
+        for t in g.tasks():
+            assert c.successors(t) == g.successors(t)
+            assert c.predecessors(t) == g.predecessors(t)
+            assert c.params(t) == g.params(t)
+            assert c.params(t) is not g.params(t)
+        assert c.successors(7) == [2, 3, 1]
+        assert [c.data_mb(u, v) for u, v in c.edges()] == [
+            g.data_mb(u, v) for u, v in g.edges()
+        ]
+
     def test_subgraph(self, fig1_graph):
         sub = fig1_graph.subgraph([1, 2, 3])
         assert sorted(sub.tasks()) == [1, 2, 3]
